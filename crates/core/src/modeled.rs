@@ -21,7 +21,7 @@ use hetero_fem::profile;
 use hetero_fem::rd::RdConfig;
 use hetero_linalg::SolverVariant;
 use hetero_partition::BlockLayout;
-use hetero_simmpi::modeled::{VirtualEnv, VirtualMsg, VirtualRank};
+use hetero_simmpi::modeled::{PreparedAllreduce, PreparedMsg, VirtualEnv, VirtualMsg, VirtualRank};
 use hetero_simmpi::{ClusterTopology, ComputeModel, NetworkModel, Work};
 
 use crate::apps::App;
@@ -85,7 +85,7 @@ fn space_info(layout: &BlockLayout, rank: usize, order: ElementOrder, ranks: usi
 fn critical_rank(layout: &BlockLayout, q: usize) -> usize {
     let mut best = (0usize, 0usize);
     for r in 0..layout.num_parts() {
-        let total: usize = layout.node_neighbors(r, q).iter().map(|&(_, s)| s).sum();
+        let total = layout.halo_nodes(r, q);
         if total > best.1 {
             best = (r, total);
         }
@@ -93,60 +93,117 @@ fn critical_rank(layout: &BlockLayout, q: usize) -> usize {
     best.0
 }
 
-/// The replay context: a virtual rank plus topology-aware message builders.
+/// A message list prepared once per run, with its total payload.
+struct MsgList {
+    msgs: Vec<PreparedMsg>,
+    /// Sum of the payload bytes, in list order.
+    bytes: f64,
+}
+
+impl MsgList {
+    /// One message from each neighbour `(peer, shared)` of `rank`, carrying
+    /// `bytes(peer, shared)` payload bytes.
+    fn new(
+        v: &VirtualRank,
+        topo: &ClusterTopology,
+        rank: usize,
+        neighbors: &[(usize, usize)],
+        bytes: impl Fn(usize, usize) -> f64,
+    ) -> Self {
+        let msgs: Vec<VirtualMsg> = neighbors
+            .iter()
+            .map(|&(peer, shared)| VirtualMsg {
+                peer,
+                bytes: bytes(peer, shared),
+                same_node: topo.same_node(peer, rank),
+                same_group: topo.same_group(peer, rank),
+            })
+            .collect();
+        MsgList {
+            msgs: msgs.iter().map(|m| v.prepare(m)).collect(),
+            bytes: msgs.iter().map(|m| m.bytes).sum::<f64>(),
+        }
+    }
+}
+
+/// The critical rank's spaces with their messages prepared for one run.
+struct RunSpaces<'a> {
+    cells: usize,
+    n_axis: usize,
+    q1: RunSpace<'a>,
+    q2: RunSpace<'a>,
+}
+
+/// One space's view plus the messages its exchanges send, prepared once
+/// per run for the run's topology and seed.
+struct RunSpace<'a> {
+    info: &'a SpaceInfo,
+    /// Ghost update: every neighbour sends 8 bytes per shared node.
+    halo: MsgList,
+    /// Owner-shipping of assembled matrix rows: 24 bytes per stored entry,
+    /// one entry per element node.
+    ship_matrix: MsgList,
+    /// Owner-shipping of assembled right-hand-side values.
+    ship_vector: MsgList,
+}
+
+impl<'a> RunSpace<'a> {
+    fn new(
+        v: &VirtualRank,
+        topo: &ClusterTopology,
+        rank: usize,
+        info: &'a SpaceInfo,
+        order: ElementOrder,
+    ) -> Self {
+        // Owner-shipping: upper-coordinate neighbours ship `entry_bytes`
+        // per shared interface node to this rank (the ownership rule hands
+        // interfaces to the lower block); lower ones send a 64-byte
+        // envelope.
+        let ship = |entry_bytes: f64| {
+            MsgList::new(v, topo, rank, &info.neighbors, |peer, shared| {
+                if peer > rank {
+                    shared as f64 * entry_bytes
+                } else {
+                    64.0
+                }
+            })
+        };
+        RunSpace {
+            info,
+            halo: MsgList::new(v, topo, rank, &info.neighbors, |_, shared| {
+                shared as f64 * 8.0
+            }),
+            ship_matrix: ship(24.0 * order.nodes_per_element() as f64),
+            ship_vector: ship(16.0),
+        }
+    }
+}
+
+/// The replay context: a virtual rank plus its run's prepared reductions.
 struct Replay {
     v: VirtualRank,
-    topo: ClusterTopology,
-    rank: usize,
     size: usize,
+    /// All-reduces of 1, 2 and 3 doubles.
+    allreduces: [PreparedAllreduce; 3],
     /// Total bytes this rank received (proxy for fabric traffic).
     recv_bytes: f64,
 }
 
 impl Replay {
-    fn msgs(&self, neighbors: &[(usize, usize)], bytes_per_node: f64) -> Vec<VirtualMsg> {
-        neighbors
-            .iter()
-            .map(|&(peer, shared)| VirtualMsg {
-                peer,
-                bytes: shared as f64 * bytes_per_node,
-                same_node: self.topo.same_node(peer, self.rank),
-                same_group: self.topo.same_group(peer, self.rank),
-            })
-            .collect()
+    /// Charges an exchange of a prepared list (a ghost update or an
+    /// owner-shipping step).
+    fn exchange(&mut self, list: &MsgList) {
+        self.recv_bytes += list.bytes;
+        self.v.halo_exchange_prepared(&list.msgs);
     }
 
     /// A ghost update on a space: every neighbour sends its shared values.
-    fn halo(&mut self, info: &SpaceInfo) {
-        let msgs = self.msgs(&info.neighbors, 8.0);
-        self.recv_bytes += msgs.iter().map(|m| m.bytes).sum::<f64>();
-        self.v.halo_exchange(&msgs);
-    }
-
-    /// Owner-shipping of assembled contributions: upper-coordinate
-    /// neighbours ship `entry_bytes` per shared interface node to this rank
-    /// (the ownership rule hands interfaces to the lower block).
-    fn ship(&mut self, info: &SpaceInfo, entry_bytes: f64) {
-        let msgs: Vec<VirtualMsg> = info
-            .neighbors
-            .iter()
-            .map(|&(peer, shared)| VirtualMsg {
-                peer,
-                bytes: if peer > self.rank {
-                    shared as f64 * entry_bytes
-                } else {
-                    64.0
-                },
-                same_node: self.topo.same_node(peer, self.rank),
-                same_group: self.topo.same_group(peer, self.rank),
-            })
-            .collect();
-        self.recv_bytes += msgs.iter().map(|m| m.bytes).sum::<f64>();
-        self.v.halo_exchange(&msgs);
+    fn halo(&mut self, s: &RunSpace) {
+        self.exchange(&s.halo);
     }
 
     fn allreduce(&mut self, n: usize) {
-        self.v.allreduce(n);
+        self.v.allreduce_prepared(&self.allreduces[n - 1]);
         if self.size > 1 {
             self.recv_bytes += 8.0 * n as f64 * 2.0;
         }
@@ -156,19 +213,20 @@ impl Replay {
         self.v.compute(Work::new(2.0 * n, 24.0 * n));
     }
 
-    fn spmv(&mut self, info: &SpaceInfo) {
-        self.halo(info);
-        self.v.compute(Work::new(2.0 * info.nnz, 20.0 * info.nnz));
+    fn spmv(&mut self, s: &RunSpace) {
+        self.halo(s);
+        self.v
+            .compute(Work::new(2.0 * s.info.nnz, 20.0 * s.info.nnz));
     }
 
     /// An overlapped SpMV: the halo transfer progresses while the interior
     /// rows compute; only the boundary rows serialize behind the wait.
-    fn spmv_overlapped(&mut self, info: &SpaceInfo) {
-        let msgs = self.msgs(&info.neighbors, 8.0);
-        self.recv_bytes += msgs.iter().map(|m| m.bytes).sum::<f64>();
+    fn spmv_overlapped(&mut self, s: &RunSpace) {
+        let info = s.info;
+        self.recv_bytes += s.halo.bytes;
         let interior = info.nnz - info.boundary_nnz;
         self.v
-            .halo_exchange_overlapped(&msgs, Work::new(2.0 * interior, 20.0 * interior));
+            .halo_exchange_overlapped(&s.halo.msgs, Work::new(2.0 * interior, 20.0 * interior));
         self.v
             .compute(Work::new(2.0 * info.boundary_nnz, 20.0 * info.boundary_nnz));
     }
@@ -182,16 +240,17 @@ impl Replay {
 /// iterations) under the given communication schedule, mirroring the
 /// per-iteration collective sequence of `hetero_linalg::solver::cg` /
 /// `cg_pipelined`.
-fn replay_cg(r: &mut Replay, info: &SpaceInfo, iters: usize, variant: SolverVariant) {
+fn replay_cg(r: &mut Replay, s: &RunSpace, iters: usize, variant: SolverVariant) {
+    let info = s.info;
     match variant {
         SolverVariant::Blocking => {
             // Initial residual: spmv + norm + precond + dot.
-            r.spmv(info);
+            r.spmv(s);
             r.allreduce(1);
             r.sweep(info.nnz);
             r.allreduce(1);
             for _ in 0..iters {
-                r.spmv(info);
+                r.spmv(s);
                 r.allreduce(1); // dot(p, q)
                 r.axpy(2.0 * info.n_owned);
                 r.allreduce(1); // norm(r)
@@ -201,12 +260,12 @@ fn replay_cg(r: &mut Replay, info: &SpaceInfo, iters: usize, variant: SolverVari
             }
         }
         SolverVariant::Overlapped => {
-            r.spmv_overlapped(info);
+            r.spmv_overlapped(s);
             r.allreduce(1);
             r.sweep(info.nnz);
             r.allreduce(1);
             for _ in 0..iters {
-                r.spmv_overlapped(info);
+                r.spmv_overlapped(s);
                 r.allreduce(1); // dot(p, q)
                 r.axpy(2.0 * info.n_owned);
                 r.sweep(info.nnz); // precond apply (before the check)
@@ -216,13 +275,13 @@ fn replay_cg(r: &mut Replay, info: &SpaceInfo, iters: usize, variant: SolverVari
         }
         SolverVariant::Pipelined => {
             // Setup: residual + preconditioned direction + fused triple.
-            r.spmv_overlapped(info);
+            r.spmv_overlapped(s);
             r.sweep(info.nnz);
-            r.spmv_overlapped(info);
+            r.spmv_overlapped(s);
             r.allreduce(3);
             for _ in 0..iters {
                 r.sweep(info.nnz); // m = M w
-                r.spmv_overlapped(info); // n = A m
+                r.spmv_overlapped(s); // n = A m
                 r.axpy(8.0 * info.n_owned); // 4 xpby + 4 axpy recurrences
                 r.allreduce(3); // the single fused reduction
             }
@@ -231,23 +290,24 @@ fn replay_cg(r: &mut Replay, info: &SpaceInfo, iters: usize, variant: SolverVari
 }
 
 /// Replays one RD time step; returns its phase times.
-fn rd_step(r: &mut Replay, s: &Spaces, cfg: &RdConfig) -> PhaseTimes {
+fn rd_step(r: &mut Replay, s: &RunSpaces, cfg: &RdConfig) -> PhaseTimes {
     let order = cfg.order;
-    let info = if order == ElementOrder::Q2 {
+    let space = if order == ElementOrder::Q2 {
         &s.q2
     } else {
         &s.q1
     };
+    let info = space.info;
     let cells = s.cells as f64;
     let start = r.v.clock();
 
     // Assembly (ii): operator, history term, source, Dirichlet.
     r.v.compute(profile::assembly_matrix_work(order, order, 2) * cells);
-    r.ship(info, 24.0 * order.nodes_per_element() as f64);
+    r.exchange(&space.ship_matrix);
     r.axpy(2.0 * info.n_owned); // history combination
-    r.spmv(info); // mass * history
+    r.spmv(space); // mass * history
     r.v.compute(profile::assembly_vector_work(order) * cells);
-    r.ship(info, 16.0);
+    r.exchange(&space.ship_vector);
     r.axpy(info.n_owned); // b += source
     r.v.compute(Work::new(2.0 * info.nnz, 40.0 * info.nnz)); // constrain
     let t_assembly = r.v.clock();
@@ -259,11 +319,11 @@ fn rd_step(r: &mut Replay, s: &Spaces, cfg: &RdConfig) -> PhaseTimes {
 
     // Solve (iiib): CG under the configured communication schedule.
     let iters = profile::rd_cg_iters(s.n_axis);
-    replay_cg(r, info, iters, cfg.solve.variant);
+    replay_cg(r, space, iters, cfg.solve.variant);
     let t_solve = r.v.clock();
 
     // History rotation ghosts.
-    r.halo(info);
+    r.halo(space);
     let end = r.v.clock();
 
     PhaseTimes {
@@ -275,9 +335,9 @@ fn rd_step(r: &mut Replay, s: &Spaces, cfg: &RdConfig) -> PhaseTimes {
 }
 
 /// Replays one NS time step.
-fn ns_step(r: &mut Replay, s: &Spaces, cfg: &NsConfig) -> PhaseTimes {
-    let v_info = &s.q2;
-    let p_info = &s.q1;
+fn ns_step(r: &mut Replay, s: &RunSpaces, cfg: &NsConfig) -> PhaseTimes {
+    let (v_space, p_space) = (&s.q2, &s.q1);
+    let (v_info, p_info) = (v_space.info, p_space.info);
     let cells = s.cells as f64;
     // Velocity-row x pressure-column gradient blocks: ~12 stored pressure
     // couplings per velocity row.
@@ -290,14 +350,14 @@ fn ns_step(r: &mut Replay, s: &Spaces, cfg: &NsConfig) -> PhaseTimes {
                                   // 8 operator terms: the monolithic vector-system assembly cost charged
                                   // by `hetero_fem::ns` (must stay in lockstep with it).
     r.v.compute(profile::assembly_matrix_work(ElementOrder::Q2, ElementOrder::Q2, 8) * cells);
-    r.ship(v_info, 24.0 * 27.0);
+    r.exchange(&v_space.ship_matrix);
     r.v.compute(profile::assembly_matrix_work(ElementOrder::Q1, ElementOrder::Q1, 1) * cells);
-    r.ship(p_info, 24.0 * 8.0);
+    r.exchange(&p_space.ship_matrix);
     for _ in 0..3 {
         r.axpy(2.0 * v_info.n_owned); // history combination
-        r.spmv(v_info); // mass * history
-                        // grad * pressure: pressure-space halo + rectangular spmv.
-        r.halo(p_info);
+        r.spmv(v_space); // mass * history
+                         // grad * pressure: pressure-space halo + rectangular spmv.
+        r.halo(p_space);
         r.v.compute(Work::new(2.0 * nnz_grad, 20.0 * nnz_grad));
         r.axpy(v_info.n_owned);
     }
@@ -318,17 +378,17 @@ fn ns_step(r: &mut Replay, s: &Spaces, cfg: &NsConfig) -> PhaseTimes {
     let vel_iters = profile::ns_velocity_iters(s.n_axis);
     for _ in 0..3 {
         if vel_overlapped {
-            r.spmv_overlapped(v_info); // initial residual
+            r.spmv_overlapped(v_space); // initial residual
         } else {
-            r.spmv(v_info);
+            r.spmv(v_space);
         }
         r.allreduce(1);
         for _ in 0..vel_iters {
             for _ in 0..2 {
                 if vel_overlapped {
-                    r.spmv_overlapped(v_info);
+                    r.spmv_overlapped(v_space);
                 } else {
-                    r.spmv(v_info);
+                    r.spmv(v_space);
                 }
                 r.axpy(v_info.n_owned); // Jacobi apply
             }
@@ -348,17 +408,17 @@ fn ns_step(r: &mut Replay, s: &Spaces, cfg: &NsConfig) -> PhaseTimes {
     }
     // Pressure right-hand side: 3 divergence SpMVs over the velocity halo.
     for _ in 0..3 {
-        r.halo(v_info);
+        r.halo(v_space);
         r.v.compute(Work::new(2.0 * nnz_grad, 20.0 * nnz_grad));
         r.axpy(p_info.n_owned);
     }
     let p_iters = profile::ns_pressure_iters(s.n_axis);
     match cfg.solve_p.variant {
         SolverVariant::Blocking => {
-            r.spmv(p_info);
+            r.spmv(p_space);
             r.allreduce(1);
             for _ in 0..p_iters {
-                r.spmv(p_info);
+                r.spmv(p_space);
                 r.allreduce(1);
                 r.axpy(2.0 * p_info.n_owned);
                 r.allreduce(1);
@@ -367,16 +427,16 @@ fn ns_step(r: &mut Replay, s: &Spaces, cfg: &NsConfig) -> PhaseTimes {
                 r.axpy(p_info.n_owned);
             }
         }
-        variant => replay_cg(r, p_info, p_iters, variant),
+        variant => replay_cg(r, p_space, p_iters, variant),
     }
     // Correction: 3 gradient SpMVs + lumped update; ghost refreshes.
     for _ in 0..3 {
-        r.halo(p_info);
+        r.halo(p_space);
         r.v.compute(Work::new(2.0 * nnz_grad, 20.0 * nnz_grad));
         r.axpy(3.0 * v_info.n_owned);
-        r.halo(v_info);
+        r.halo(v_space);
     }
-    r.halo(p_info);
+    r.halo(p_space);
     let t_solve = r.v.clock();
     let end = r.v.clock();
 
@@ -521,7 +581,6 @@ pub fn run_modeled_sized_prepared(
             (built.0, &built.1)
         }
     };
-    let spaces = spaces.clone();
     let env = VirtualEnv {
         net: net.clone(),
         compute,
@@ -531,10 +590,18 @@ pub fn run_modeled_sized_prepared(
         rank,
         seed,
     };
+    let v = VirtualRank::new(env);
+    // Every message cost that does not depend on the jitter draw is
+    // evaluated here, once per run; the step loop only charges.
+    let run_spaces = RunSpaces {
+        cells: spaces.cells,
+        n_axis: spaces.n_axis,
+        q1: RunSpace::new(&v, topo, rank, &spaces.q1, ElementOrder::Q1),
+        q2: RunSpace::new(&v, topo, rank, &spaces.q2, ElementOrder::Q2),
+    };
     let mut replay = Replay {
-        v: VirtualRank::new(env),
-        topo: topo.clone(),
-        rank,
+        allreduces: [1, 2, 3].map(|n| v.prepare_allreduce(n)),
+        v,
         size: ranks,
         recv_bytes: 0.0,
     };
@@ -545,8 +612,8 @@ pub fn run_modeled_sized_prepared(
     for i in 0..steps {
         let before = replay.recv_bytes;
         let times = match app {
-            App::Rd(cfg) => rd_step(&mut replay, &spaces, cfg),
-            App::Ns(cfg) => ns_step(&mut replay, &spaces, cfg),
+            App::Rd(cfg) => rd_step(&mut replay, &run_spaces, cfg),
+            App::Ns(cfg) => ns_step(&mut replay, &run_spaces, cfg),
         };
         if i == 0 {
             bytes_first_iter = replay.recv_bytes - before;

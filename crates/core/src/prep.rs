@@ -115,11 +115,11 @@ pub struct PreparedScenario {
 }
 
 impl PreparedScenario {
-    /// Builds the scenario for `req`: the modeled prep eagerly, everything
-    /// else on demand.
-    fn build(req: &RunRequest) -> Self {
+    /// Builds the scenario for `req`, whose sub-key is `key`: the modeled
+    /// prep eagerly, everything else on demand.
+    fn build(req: &RunRequest, key: String) -> Self {
         PreparedScenario {
-            key: prep_key(req),
+            key,
             ranks: req.ranks,
             per_rank_axis: req.per_rank_axis,
             modeled: prepare_modeled(req.ranks, req.per_rank_axis, req.app.primary_order().q()),
@@ -325,19 +325,24 @@ pub fn scenario_for(req: &RunRequest) -> Option<Arc<PreparedScenario>> {
     if !sharing_enabled() {
         return None;
     }
-    let key = prep_key(req);
+    Some(lookup(req, prep_key(req)))
+}
+
+/// The LRU lookup behind [`scenario_for`], for a `req` whose sub-key is
+/// already known.
+fn lookup(req: &RunRequest, key: String) -> Arc<PreparedScenario> {
     let mut lru = cache().lock().expect("scenario cache lock");
     if let Some(pos) = lru.iter().position(|s| s.key == key) {
         let hit = lru.remove(pos);
         lru.insert(0, Arc::clone(&hit));
         CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-        return Some(hit);
+        return hit;
     }
-    let built = Arc::new(PreparedScenario::build(req));
+    let built = Arc::new(PreparedScenario::build(req, key));
     lru.insert(0, Arc::clone(&built));
     lru.truncate(SCENARIO_CACHE_CAP);
     CACHE_BUILDS.fetch_add(1, Ordering::Relaxed);
-    Some(built)
+    built
 }
 
 /// Resolves the scenario an execute path should use: the caller's pinned
@@ -350,11 +355,12 @@ pub(crate) fn resolve(
     if !sharing_enabled() {
         return None;
     }
+    let key = prep_key(req);
     if let Some(p) = explicit {
-        if p.key == prep_key(req) {
+        if p.key == key {
             CACHE_HITS.fetch_add(1, Ordering::Relaxed);
             return Some(p);
         }
     }
-    scenario_for(req)
+    Some(lookup(req, key))
 }

@@ -210,6 +210,32 @@ impl BlockLayout {
         out
     }
 
+    /// Total shared lattice nodes of order `q` over all of `rank`'s
+    /// neighbours: the sum of the counts [`Self::node_neighbors`] lists, in
+    /// closed form. Along each axis a block shares its full node line
+    /// `q*ext + 1` with the neighbours at offset zero and one interface
+    /// plane with each neighbour that exists at offset -1 or +1; the sum
+    /// over all offset triples factorizes per axis, and the product of the
+    /// full lines is the block itself, which is not a neighbour.
+    pub fn halo_nodes(&self, rank: usize, q: usize) -> usize {
+        assert!(q >= 1);
+        let b = self.block_of_rank(rank);
+        let ext = self.block_extent(rank);
+        let axes = [
+            (b.i, self.parts.0, ext.0),
+            (b.j, self.parts.1, ext.1),
+            (b.k, self.parts.2, ext.2),
+        ];
+        let mut with_faces = 1;
+        let mut own = 1;
+        for (at, parts, ext) in axes {
+            let line = q * ext + 1;
+            with_faces *= line + usize::from(at > 0) + usize::from(at + 1 < parts);
+            own *= line;
+        }
+        with_faces - own
+    }
+
     /// Materializes the full cell-to-rank assignment vector.
     pub fn assignment(&self) -> Vec<usize> {
         let (nx, ny, nz) = self.cells;

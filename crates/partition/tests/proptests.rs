@@ -137,4 +137,22 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn halo_nodes_matches_node_neighbor_sum(
+        nx in 1usize..9,
+        ny in 1usize..9,
+        nz in 1usize..9,
+        px in 1usize..5,
+        py in 1usize..5,
+        pz in 1usize..5,
+        q in 1usize..4,
+    ) {
+        prop_assume!(px <= nx && py <= ny && pz <= nz);
+        let layout = BlockLayout::new((nx, ny, nz), (px, py, pz));
+        for r in 0..layout.num_parts() {
+            let sum: usize = layout.node_neighbors(r, q).iter().map(|&(_, s)| s).sum();
+            prop_assert_eq!(layout.halo_nodes(r, q), sum, "rank {}", r);
+        }
+    }
 }

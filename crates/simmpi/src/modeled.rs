@@ -12,7 +12,8 @@
 //! time (exact under perfect weak scaling, slightly pessimistic otherwise).
 
 use crate::comm::{HEADER_BYTES, RECV_OVERHEAD, SEND_OVERHEAD};
-use crate::network::{MsgContext, NetworkModel};
+use crate::network::NetworkModel;
+use crate::rng::{hash_prefix, jitter_from_prefix};
 use crate::work::{ComputeModel, Work};
 
 /// Smallest `d` with `2^d >= n`.
@@ -33,6 +34,36 @@ pub struct VirtualMsg {
     pub same_node: bool,
     /// Peer's node shares this rank's placement group.
     pub same_group: bool,
+}
+
+/// A [`VirtualMsg`] with every seed- and sequence-independent cost
+/// evaluated once, by [`VirtualRank::prepare`]. Charging it again only
+/// draws the message's jitter; the values are the same `f64` expressions
+/// the per-message pricing evaluates, so a replay over prepared messages
+/// is bitwise identical to pricing every message in full.
+#[derive(Debug, Clone, Copy)]
+pub struct PreparedMsg {
+    /// CPU time to post the send: `SEND_OVERHEAD + (bytes + HEADER_BYTES) / intra_bw`.
+    send: f64,
+    /// Arrival latency before contention and jitter.
+    latency: f64,
+    /// Drain time, `(bytes + HEADER_BYTES) / bw`, before contention and jitter.
+    drain: f64,
+    /// On-node messages are neither contended nor jittered.
+    on_node: bool,
+    /// [`hash_prefix`] of `(seed, peer, rank)`.
+    prefix: u64,
+}
+
+/// A binomial-tree all-reduce of a fixed width with its per-level
+/// messages prepared ([`VirtualRank::prepare_allreduce`]).
+#[derive(Debug, Clone)]
+pub struct PreparedAllreduce {
+    /// One message per tree level; the reduce and broadcast phases each
+    /// walk all of them.
+    levels: Vec<PreparedMsg>,
+    /// Combine flops on the reduce path.
+    combine: Work,
 }
 
 /// The environment a virtual rank runs in.
@@ -58,6 +89,8 @@ pub struct VirtualEnv {
 #[derive(Debug, Clone)]
 pub struct VirtualRank {
     env: VirtualEnv,
+    /// `net.fabric_contention(nodes_active)`, fixed for the job.
+    contention: f64,
     clock: f64,
     seq: u64,
 }
@@ -67,6 +100,7 @@ impl VirtualRank {
     pub fn new(env: VirtualEnv) -> Self {
         assert!(env.size > 0 && env.rank < env.size);
         VirtualRank {
+            contention: env.net.fabric_contention(env.nodes_active),
             env,
             clock: 0.0,
             seq: 0,
@@ -84,42 +118,58 @@ impl VirtualRank {
         self.clock += self.env.compute.time(work);
     }
 
-    fn transfer(
-        &mut self,
-        bytes: f64,
-        same_node: bool,
-        same_group: bool,
-        peer: usize,
-    ) -> (f64, f64) {
-        let ctx = MsgContext {
-            bytes: bytes + HEADER_BYTES,
-            same_node,
-            same_group,
-            nic_sharers: self.env.nic_sharers,
-            nodes_active: self.env.nodes_active,
-            jitter_key: (self.env.seed, peer as u64, self.env.rank as u64, self.seq),
-        };
+    /// Evaluates `m`'s seed- and sequence-independent costs for this rank.
+    pub fn prepare(&self, m: &VirtualMsg) -> PreparedMsg {
+        let net = &self.env.net;
+        let wire = m.bytes + HEADER_BYTES;
+        let (latency, drain) = net.base_cost(wire, m.same_node, m.same_group, self.env.nic_sharers);
+        PreparedMsg {
+            send: SEND_OVERHEAD + wire / net.intra_bw,
+            latency,
+            drain,
+            on_node: m.same_node,
+            prefix: hash_prefix(self.env.seed, m.peer as u64, self.env.rank as u64),
+        }
+    }
+
+    /// Prices the next message of the stream as `(latency, drain)`,
+    /// mirroring [`NetworkModel::transfer_cost`]. On-node messages take a
+    /// sequence number too, so later jitter draws do not depend on
+    /// placement.
+    #[inline]
+    fn charge(&mut self, m: &PreparedMsg) -> (f64, f64) {
+        let seq = self.seq;
         self.seq += 1;
-        self.env.net.transfer_cost(ctx)
+        if m.on_node {
+            return (m.latency, m.drain);
+        }
+        let s = self.contention * jitter_from_prefix(m.prefix, seq, self.env.net.jitter_sigma);
+        (m.latency * s, m.drain * s)
     }
 
     /// Charges a neighbour halo exchange: post all sends, then drain all
     /// receives (the overlap pattern the FEM ghost update uses). Peers are
     /// assumed to start the exchange at the same virtual time.
     pub fn halo_exchange(&mut self, msgs: &[VirtualMsg]) {
+        let prepared: Vec<PreparedMsg> = msgs.iter().map(|m| self.prepare(m)).collect();
+        self.halo_exchange_prepared(&prepared);
+    }
+
+    /// [`Self::halo_exchange`] over prepared messages.
+    pub fn halo_exchange_prepared(&mut self, msgs: &[PreparedMsg]) {
         if msgs.is_empty() {
             return;
         }
         // Sends: fixed overhead + packing, serialized on the CPU.
         for m in msgs {
-            self.clock += SEND_OVERHEAD + (m.bytes + HEADER_BYTES) / self.env.net.intra_bw;
+            self.clock += m.send;
         }
         let depart = self.clock;
         // Receives, mirroring `SimComm::recv`: each message becomes
         // available after its latency (peers posted at ~the same time, so
         // latencies overlap), then drains serially through this rank's NIC.
         for m in msgs {
-            let (latency, drain) = self.transfer(m.bytes, m.same_node, m.same_group, m.peer);
+            let (latency, drain) = self.charge(m);
             self.clock = self.clock.max(depart + latency) + drain + RECV_OVERHEAD;
         }
     }
@@ -130,64 +180,78 @@ impl VirtualRank {
     /// message's full transfer (latency + drain) then progresses while the
     /// interior work runs, and the wait point only stalls for whatever the
     /// compute did not cover.
-    pub fn halo_exchange_overlapped(&mut self, msgs: &[VirtualMsg], interior: Work) {
+    pub fn halo_exchange_overlapped(&mut self, msgs: &[PreparedMsg], interior: Work) {
         if msgs.is_empty() {
             self.compute(interior);
             return;
         }
         for m in msgs {
-            self.clock += SEND_OVERHEAD + (m.bytes + HEADER_BYTES) / self.env.net.intra_bw;
+            self.clock += m.send;
         }
         let depart = self.clock;
-        let mut avails = Vec::with_capacity(msgs.len());
-        for m in msgs {
-            let (latency, drain) = self.transfer(m.bytes, m.same_node, m.same_group, m.peer);
-            avails.push(depart + latency + drain);
-        }
+        // A message's arrival does not depend on the clock, so the interior
+        // work is charged first and each arrival folded in as it is priced.
         self.compute(interior);
-        for a in avails {
-            self.clock = self.clock.max(a) + RECV_OVERHEAD;
+        for m in msgs {
+            let (latency, drain) = self.charge(m);
+            self.clock = self.clock.max(depart + latency + drain) + RECV_OVERHEAD;
+        }
+    }
+
+    /// One message per tree level `0..ceil(log2 size)`, each carrying
+    /// `bytes` to the partner `rank ^ 1`. Level `k` edges connect ranks
+    /// `2^k` apart; under block placement those stay on one node while
+    /// `2^k` is below the ranks-per-node count, which is why small jobs on
+    /// many-core nodes see cheap collectives.
+    fn tree_levels(&self, bytes: f64) -> Vec<PreparedMsg> {
+        (0..ceil_log2(self.env.size))
+            .map(|level| {
+                self.prepare(&VirtualMsg {
+                    peer: self.env.rank ^ 1,
+                    bytes,
+                    same_node: (1usize << level) < self.env.nic_sharers,
+                    same_group: true,
+                })
+            })
+            .collect()
+    }
+
+    /// Prepares an all-reduce of `n` doubles for
+    /// [`Self::allreduce_prepared`].
+    pub fn prepare_allreduce(&self, n: usize) -> PreparedAllreduce {
+        let depth = ceil_log2(self.env.size) as f64;
+        PreparedAllreduce {
+            levels: self.tree_levels(8.0 * n as f64),
+            combine: Work::new(depth * n as f64, depth * 16.0 * n as f64),
         }
     }
 
     /// Charges a binomial-tree reduce + broadcast all-reduce of `n` doubles,
     /// mirroring [`crate::SimComm::allreduce`]. The modeled rank pays the
-    /// worst-case tree depth on both phases. Tree edges at level `k`
-    /// connect ranks `2^k` apart; under block placement those stay on one
-    /// node while `2^k` is below the ranks-per-node count, which is why
-    /// small jobs on many-core nodes see cheap collectives.
+    /// worst-case tree depth on both phases.
     pub fn allreduce(&mut self, n: usize) {
-        let depth = ceil_log2(self.env.size);
-        if depth == 0 {
+        let prepared = self.prepare_allreduce(n);
+        self.allreduce_prepared(&prepared);
+    }
+
+    /// [`Self::allreduce`] over a prepared reduction.
+    pub fn allreduce_prepared(&mut self, p: &PreparedAllreduce) {
+        if p.levels.is_empty() {
             return;
         }
-        let bytes = 8.0 * n as f64;
-        for phase_level in 0..2 * depth {
-            let level = phase_level % depth;
-            let same_node = (1usize << level) < self.env.nic_sharers;
-            let (lat, drain) = self.transfer(bytes, same_node, true, self.env.rank ^ 1);
-            self.clock += SEND_OVERHEAD
-                + (bytes + HEADER_BYTES) / self.env.net.intra_bw
-                + lat
-                + drain
-                + RECV_OVERHEAD;
+        for m in p.levels.iter().chain(&p.levels) {
+            let (lat, drain) = self.charge(m);
+            self.clock += m.send + lat + drain + RECV_OVERHEAD;
         }
-        // Combine flops on the reduce path.
-        self.compute(Work::new(
-            depth as f64 * n as f64,
-            depth as f64 * 16.0 * n as f64,
-        ));
+        self.compute(p.combine);
     }
 
     /// Charges a dissemination barrier (`ceil(log2 p)` rounds of empty
     /// messages), with the same per-level node locality as [`Self::allreduce`].
     pub fn barrier(&mut self) {
-        let rounds = ceil_log2(self.env.size);
-        for level in 0..rounds {
-            let same_node = (1usize << level) < self.env.nic_sharers;
-            let (lat, drain) = self.transfer(0.0, same_node, true, self.env.rank ^ 1);
-            self.clock +=
-                SEND_OVERHEAD + HEADER_BYTES / self.env.net.intra_bw + lat + drain + RECV_OVERHEAD;
+        for m in self.tree_levels(0.0) {
+            let (lat, drain) = self.charge(&m);
+            self.clock += m.send + lat + drain + RECV_OVERHEAD;
         }
     }
 
@@ -201,6 +265,7 @@ impl VirtualRank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::MsgContext;
     use crate::topology::ClusterTopology;
 
     fn env(size: usize, net: NetworkModel) -> VirtualEnv {
@@ -213,6 +278,45 @@ mod tests {
             size,
             rank: 0,
             seed: 7,
+        }
+    }
+
+    #[test]
+    fn prepared_charge_is_bitwise_transfer_cost() {
+        for net in [
+            NetworkModel::gigabit_ethernet(),
+            NetworkModel::ten_gig_ethernet_ec2(),
+            NetworkModel::infiniband_ddr(),
+        ] {
+            let mut e = env(200, net.clone());
+            e.rank = 37;
+            let mut v = VirtualRank::new(e.clone());
+            for (i, (same_node, same_group)) in [(true, true), (false, true), (false, false)]
+                .into_iter()
+                .enumerate()
+            {
+                let m = VirtualMsg {
+                    peer: 11 + i,
+                    bytes: 1234.5 * (i + 1) as f64,
+                    same_node,
+                    same_group,
+                };
+                let p = v.prepare(&m);
+                for _ in 0..50 {
+                    let seq = v.seq;
+                    let want = net.transfer_cost(MsgContext {
+                        bytes: m.bytes + HEADER_BYTES,
+                        same_node,
+                        same_group,
+                        nic_sharers: e.nic_sharers,
+                        nodes_active: e.nodes_active,
+                        jitter_key: (e.seed, m.peer as u64, e.rank as u64, seq),
+                    });
+                    let got = v.charge(&p);
+                    assert_eq!(got.0.to_bits(), want.0.to_bits());
+                    assert_eq!(got.1.to_bits(), want.1.to_bits());
+                }
+            }
         }
     }
 

@@ -86,22 +86,42 @@ impl NetworkModel {
     /// retransmits) at least as much as throughput loss — the mechanism
     /// behind the steep large-scale degradation in the paper's Figures 4/5.
     pub fn transfer_cost(&self, ctx: MsgContext) -> (f64, f64) {
+        let (lat, drain) =
+            self.base_cost(ctx.bytes, ctx.same_node, ctx.same_group, ctx.nic_sharers);
         if ctx.same_node {
-            return (self.latency_intra, ctx.bytes / self.intra_bw);
-        }
-        let lat = if ctx.same_group {
-            self.latency
-        } else {
-            self.latency * self.cross_group_lat_mult
-        };
-        let mut bw = self.node_bw / ctx.nic_sharers.max(1) as f64;
-        if !ctx.same_group {
-            bw *= self.cross_group_bw_mult;
+            return (lat, drain);
         }
         let (seed, src, dst, seq) = ctx.jitter_key;
         let scale = self.fabric_contention(ctx.nodes_active)
             * jitter_factor(seed, src, dst, seq, self.jitter_sigma);
-        (lat * scale, ctx.bytes / bw * scale)
+        (lat * scale, drain * scale)
+    }
+
+    /// The seed- and scale-independent part of [`Self::transfer_cost`]:
+    /// `(latency, drain)` before fabric contention and jitter. On-node
+    /// messages are final here; inter-node ones are multiplied by
+    /// `fabric_contention(nodes) * jitter`.
+    #[inline]
+    pub fn base_cost(
+        &self,
+        bytes: f64,
+        same_node: bool,
+        same_group: bool,
+        nic_sharers: usize,
+    ) -> (f64, f64) {
+        if same_node {
+            return (self.latency_intra, bytes / self.intra_bw);
+        }
+        let lat = if same_group {
+            self.latency
+        } else {
+            self.latency * self.cross_group_lat_mult
+        };
+        let mut bw = self.node_bw / nic_sharers.max(1) as f64;
+        if !same_group {
+            bw *= self.cross_group_bw_mult;
+        }
+        (lat, bytes / bw)
     }
 
     /// Total time of one message transferred in isolation (latency +

@@ -2,7 +2,9 @@
 
 use hetero_simmpi::collectives::ReduceOp;
 use hetero_simmpi::modeled::{VirtualEnv, VirtualMsg, VirtualRank};
-use hetero_simmpi::rng::{jitter_factor, to_unit};
+use hetero_simmpi::rng::{
+    hash_msg, hash_prefix, jitter_factor, jitter_from_prefix, splitmix64, to_unit,
+};
 use hetero_simmpi::{
     run_spmd, run_spmd_opts, ClusterTopology, ComputeModel, EngineOpts, FaultPlan, MsgContext,
     NetworkModel, Payload, SimComm, SpmdConfig, Work,
@@ -130,6 +132,22 @@ proptest! {
         }
         let mean = sum / n as f64;
         prop_assert!((mean - 1.0).abs() < 0.08, "mean = {mean}");
+    }
+
+    #[test]
+    fn hash_msg_splits_into_prefix_and_sequence(
+        seed in any::<u64>(),
+        src in any::<u64>(),
+        dst in any::<u64>(),
+        seq in any::<u64>(),
+        sigma in 0.0f64..0.6,
+    ) {
+        let prefix = hash_prefix(seed, src, dst);
+        prop_assert_eq!(hash_msg(seed, src, dst, seq), splitmix64(prefix ^ seq));
+        prop_assert_eq!(
+            jitter_factor(seed, src, dst, seq, sigma).to_bits(),
+            jitter_from_prefix(prefix, seq, sigma).to_bits()
+        );
     }
 
     #[test]
